@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
 
-	"pacstack/internal/par"
 	"pacstack/internal/resilience"
 	"pacstack/internal/telemetry"
 	"pacstack/internal/traffic"
@@ -149,38 +146,5 @@ func TestTrafficAdaptiveHoldsBurstSLOWhereStaticFails(t *testing.T) {
 	st := adaptive.SLO.Controller
 	if st == nil || st.Increases == 0 || st.LimitMax <= 4 {
 		t.Fatalf("controller never grew under the burst: %+v", st)
-	}
-}
-
-// The determinism contract: one seed's SLO report and telemetry dump
-// are byte-identical at any worker-pool width.
-func TestTrafficReportByteIdentityAcrossWidths(t *testing.T) {
-	run := func(width int) ([]byte, []byte) {
-		restore := par.SetWorkers(width)
-		defer restore()
-		cfg := burstConfig(7, true)
-		set := telemetry.New(telemetry.Options{EventCap: 512})
-		cfg.Telemetry = set
-		rep, err := Soak(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repJSON, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dump bytes.Buffer
-		if err := set.WriteJSON(&dump); err != nil {
-			t.Fatal(err)
-		}
-		return repJSON, dump.Bytes()
-	}
-	rep1, dump1 := run(1)
-	rep8, dump8 := run(8)
-	if !bytes.Equal(rep1, rep8) {
-		t.Fatal("SLO report differs between -par 1 and -par 8")
-	}
-	if !bytes.Equal(dump1, dump8) {
-		t.Fatal("telemetry dump differs between -par 1 and -par 8")
 	}
 }
