@@ -182,6 +182,16 @@ type Process struct {
 	nextPID  *int // shared PID counter rooted at the initial process
 }
 
+// SharesKeys reports whether p and q hold the identical PA key set.
+// The comparison is exact and stays inside the kernel, so the keys
+// themselves never leave it.
+func (p *Process) SharesKeys(q *Process) bool { return p.keys == q.keys }
+
+// HoldsKeys reports whether p serves under exactly the key set ks —
+// how a pool checks a restored incarnation against the keys frozen in
+// its boot image.
+func (p *Process) HoldsKeys(ks pa.Keys) bool { return p.keys == ks }
+
 // NewProcess "execs" prog: fresh PA keys, the given address space,
 // and one initial task starting at entry with the stack top at sp.
 func (k *Kernel) NewProcess(prog *isa.Program, m *mem.Memory, entry, sp uint64) *Process {

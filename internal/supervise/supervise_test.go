@@ -303,3 +303,34 @@ func TestMutateCanRepairTheVictim(t *testing.T) {
 		t.Errorf("final process %+v", p)
 	}
 }
+
+// TestSharedKeysExactUnderProbeCollision: two distinct key sets whose
+// instruction-key PACs collide on one probe pointer must not read as
+// shared. A birthday search over seeded boots finds such a pair within
+// a few hundred draws at the default 16-bit PAC; a single-probe check
+// would call the pair shared.
+func TestSharedKeysExactUnderProbeCollision(t *testing.T) {
+	const ptr, mod = 0x10040, 0xfeed
+	img := image(t, cleanProgram())
+	seen := map[uint64]*kernel.Process{}
+	for seed := int64(1); seed <= 20_000; seed++ {
+		p, err := img.Boot(seededKernel(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed := p.Auth.AddPAC(pa.KeyIA, ptr, mod)
+		q, ok := seen[sealed]
+		if !ok {
+			seen[sealed] = p
+			continue
+		}
+		if _, probe := p.Auth.Auth(pa.KeyIA, q.Auth.AddPAC(pa.KeyIA, ptr, mod), mod); !probe {
+			t.Fatalf("seed %d: colliding seals do not cross-authenticate", seed)
+		}
+		if SharedKeys(p, q) || SharedKeys(q, p) {
+			t.Fatalf("seed %d: distinct key sets with one colliding probe PAC reported as shared (after %d boots)", seed, len(seen)+1)
+		}
+		return
+	}
+	t.Fatal("no probe collision within 20000 boots")
+}
