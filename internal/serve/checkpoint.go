@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"pacstack/internal/compile"
+	"pacstack/internal/des"
 	"pacstack/internal/fault"
 	"pacstack/internal/kernel"
 	"pacstack/internal/pa"
@@ -42,7 +43,7 @@ func (s *Server) FinalCheckpoint(st *snap.Store) (int, error) {
 			return n, err
 		}
 		k := kernel.New(pa.DefaultConfig())
-		k.Seed(mix(s.cfg.Seed, 0xf1a1+int64(sc)))
+		k.Seed(des.Mix(s.cfg.Seed, 0xf1a1+int64(sc)))
 		p, err := img.Boot(k)
 		if err != nil {
 			return n, err
