@@ -324,7 +324,7 @@ func main() {
 //     here — under overload the two cost models legitimately shed
 //     different arrivals.
 //
-// Both warm runs must finish with zero §4.3 image-key probe violations
+// Both warm runs must finish with zero §4.3 image-key violations
 // and must actually have exercised the pool (restores > 0). Returns
 // the process exit code.
 func runWarmGate(base serve.SoakConfig, asJSON bool) int {
@@ -406,7 +406,7 @@ func runWarmGate(base serve.SoakConfig, asJSON bool) int {
 		bad("%d silent corruption(s) under the warm pool", warm.Silent)
 	}
 	if warm.PoolKeyViolations != 0 || tWarm.PoolKeyViolations != 0 {
-		bad("image-key probe violations: closed %d, traffic %d — a restore kept the snapshot's PA keys",
+		bad("image-key violations: closed %d, traffic %d — a restore kept the snapshot's PA keys",
 			warm.PoolKeyViolations, tWarm.PoolKeyViolations)
 	}
 	if warm.PoolRestores == 0 || tWarm.PoolRestores == 0 {

@@ -5,6 +5,7 @@ import (
 
 	"pacstack/internal/snap"
 	"pacstack/internal/supervise"
+	"pacstack/internal/telemetry"
 )
 
 // MachineMigration is the per-machine record of one failover: which
@@ -21,9 +22,9 @@ type MachineMigration struct {
 	ToSeq   uint64 `json:"to_seq"`
 	// KeysReseeded records that ReseedKeys ran on the restored process.
 	KeysReseeded bool `json:"keys_reseeded"`
-	// SharedKeys is the post-reseed probe verdict: true would mean the
-	// migrated machine still authenticates under the dead backend's
-	// keys — a protocol violation the soak gate fails on.
+	// SharedKeys is the post-reseed key check: true would mean the
+	// migrated machine still holds the dead backend's keys — a
+	// protocol violation the soak gate fails on.
 	SharedKeys bool `json:"shared_keys"`
 	// Repooled records that the survivor re-seeded its warm pool from
 	// the shipped image: subsequent requests for this scheme restore
@@ -44,6 +45,17 @@ type MigrationReport struct {
 	SharedKeyViolations int `json:"shared_key_violations"`
 }
 
+// record exports one failover's migration to telemetry: the bytes
+// shipped, per-machine direction counters and an EvMigrate event each.
+func (r *MigrationReport) record(bytes *telemetry.Counter, migrations *telemetry.CounterVec, log *telemetry.EventLog) {
+	bytes.Add(uint64(r.Bytes))
+	for _, mm := range r.Machines {
+		migrations.With(fmt.Sprint(r.From), "out").Inc()
+		migrations.With(fmt.Sprint(r.To), "in").Inc()
+		log.Record(telemetry.EvMigrate, mm.Scheme, fmt.Sprintf("%d->%d", mm.From, mm.To), uint64(mm.Bytes))
+	}
+}
+
 // MigrateMachines ships every resident machine of the dead backend to
 // the survivor. Per machine, in sorted scheme order:
 //
@@ -57,7 +69,7 @@ type MigrationReport struct {
 //     warm-restore uses (program CRC, image CRC, journal agreement).
 //  4. Re-seed the restored process's PA keys (Section 4.3: a new
 //     incarnation must not inherit its predecessor's keys) and verify
-//     with a cross-process probe that no key survived.
+//     with an exact key comparison that no key set survived.
 //  5. Commit a fresh checkpoint under the new keys, so the survivor's
 //     durable record never contains a restorable image keyed like the
 //     dead backend.
@@ -102,7 +114,7 @@ func MigrateMachines(from, to *Backend) (*MigrationReport, error) {
 		// A warm survivor re-pools the cargo: the resealed process (new
 		// keys, quiescent state) becomes the boot image its snapshot-fork
 		// pool restores from, so post-failover traffic for this scheme is
-		// served off the migrated state — and the pool's image-key probe
+		// served off the migrated state — and the pool's image-key check
 		// now guards against the *shipped* image's keys leaking into
 		// serving machines.
 		if to.Srv != nil && to.Srv.Config().Warm {

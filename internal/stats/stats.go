@@ -105,7 +105,16 @@ func (b Binomial) Wilson(z float64) (lo, hi float64) {
 	den := 1 + z2/n
 	center := (p + z2/(2*n)) / den
 	half := z / den * math.Sqrt(p*(1-p)/n+z2/(4*n*n))
-	return math.Max(0, center-half), math.Min(1, center+half)
+	lo, hi = math.Max(0, center-half), math.Min(1, center+half)
+	// At p = 0 (or 1) the bound is exactly 0 (or 1); rounding in
+	// center-half can leave it a few ulps inside, excluding p itself.
+	if b.Successes == 0 {
+		lo = 0
+	}
+	if b.Successes == b.Trials {
+		hi = 1
+	}
+	return lo, hi
 }
 
 // String renders the estimate with its 95% interval.

@@ -54,7 +54,7 @@ func benchServeRPS(b *testing.B, warm bool) {
 	if warm {
 		restores, coldFallbacks, keyViolations, _ := s.PoolStats()
 		if keyViolations != 0 {
-			b.Fatalf("%d image-key probe violations", keyViolations)
+			b.Fatalf("%d image-key violations", keyViolations)
 		}
 		if restores == 0 {
 			b.Fatal("warm run served no pool restores")
