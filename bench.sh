@@ -28,7 +28,7 @@
 #                          mostly measures pool bookkeeping overhead.
 #   warm_rpvs_speedup_closed / warm_rpvs_speedup_traffic
 #                          the virtual-time goodput ratios from the
-#                          pacstack-soak -warm-gate run, where machine
+#                          soak-warm-gate scenario, where machine
 #                          acquisition is charged at the modeled
 #                          cold-boot vs snapshot-restore cost — the
 #                          architectural fork-server numbers
@@ -63,7 +63,7 @@ out="$out
 $(go test -run=NONE -bench='^BenchmarkServe(Cold|Warm)RPS$' -benchtime=30x .)"
 printf '%s\n' "$out"
 
-gate=$(go run ./cmd/pacstack-soak -warm-gate -clients 6 -requests 12 -seed 7 -chaos-rate 0.1 -heal 1 2>&1)
+gate=$(go run ./cmd/pacstack-soak -scenario soak-warm-gate 2>&1)
 printf '%s\n' "$gate"
 
 # Benchmark names carry a -GOMAXPROCS suffix (BenchmarkEngine-8), so

@@ -1,50 +1,15 @@
-// Command pacstack-cluster drives the multi-backend serving tier
-// (internal/cluster) in two modes.
+// Command pacstack-cluster serves the multi-backend tier
+// (internal/cluster) as a live fleet over HTTP: N backends behind the
+// breaker-aware router, each a real serve.Server.
 //
-// Default mode runs the deterministic cluster soak: N modeled backends
-// behind the breaker-aware router take seeded virtual-time traffic,
-// optionally losing backends mid-run (-kill-at takes a comma-separated
-// list of virtual cycles for a cascading-failure scenario). Each dead
-// backend's checkpointed machines migrate to a survivor over the snap
-// codec with re-seeded PA keys, and its in-flight requests replay
-// exactly once — while the failover budget lasts; deaths beyond the
-// budget abandon their orphans loudly. One seed produces a
-// byte-identical report on any machine at any worker-pool width
-// (-par) — run it twice and diff.
-//
-//	pacstack-cluster [-backends N] [-clients N] [-requests N]
-//	                 [-workload NAME] [-schemes LIST] [-seed N]
+//	pacstack-cluster [-backends N] [-schemes LIST] [-seed N]
 //	                 [-chaos-rate F] [-chaos-kinds LIST] [-heal N]
-//	                 [-workers N] [-queue N] [-retries N]
-//	                 [-breaker-threshold N] [-checkpoint-every N]
-//	                 [-checkpoint-crash F] [-kill-at CYCLES[,CYCLES...]]
-//	                 [-kill-backend N[,N...]] [-migrate-latency CYCLES]
-//	                 [-failover-budget N] [-par N]
-//	                 [-json] [-check] [-telemetry-dump PATH]
+//	                 [-checkpoint-every N] [-workers N] [-queue N]
+//	                 [-breaker-threshold N] [-failover-budget N] [-cold]
+//	                 [-addr ADDR] [-timeout D] [-drain-timeout D]
+//	                 [-state-dir DIR]
 //
-// With -check, the exit status enforces the failover acceptance
-// criteria: non-zero unless every request reached a terminal state
-// (zero silent losses), migrated machines restored with re-seeded
-// keys, no request replayed twice, and the restart budget was charged
-// exactly once per absorbed kill.
-//
-// With -traffic, the soak takes the serving tier's open-loop traffic
-// model instead of the closed client loop: heavy-tailed arrival
-// classes with per-class SLOs, optionally a network fault mesh
-// (-mesh FILE or -mesh-gray N), and the chaos-mesh defense — hedged
-// requests (-hedge), the cluster-global retry budget, outlier
-// ejection, priority brownout and vertical core scaling
-// (-vertical-max) — all switched on together by -resilient. The
-// report gains the per-class SLO evaluation (-slo-report writes it as
-// JSON) and stays byte-identical across -par widths.
-//
-// With -mesh-gate, it runs the canned gray-backend burst twice —
-// naive, then resilient — and exits non-zero unless the naive run
-// demonstrably blows at least one class SLO, the resilient run holds
-// every class through the same faults, and the secondaries the
-// resilient run spent stayed inside the configured retry budget.
-//
-// With -daemon, it serves the live fleet over HTTP instead:
+// It serves:
 //
 //	POST /v1/run         route one workload through the cluster
 //	GET  /v1/cluster     fleet status (liveness, breakers, machines)
@@ -53,11 +18,14 @@
 //	POST /v1/mesh        replace the live link state wholesale
 //	GET  /metrics /events /v1/telemetry /healthz   as in pacstack-serve
 //
-// With -daemon -state-dir DIR, each backend recovers its prior
-// incarnation's checkpoint from DIR/backend-N at startup, and a final
-// boot-state checkpoint per alive backend is committed there after the
-// SIGTERM drain — the pacstack-serve durability contract, per fleet
-// member.
+// With -state-dir DIR, each backend recovers its prior incarnation's
+// checkpoint from DIR/backend-N at startup, and a final boot-state
+// checkpoint per alive backend is committed there after the SIGTERM
+// drain — the pacstack-serve durability contract, per fleet member.
+//
+// The deterministic fleet soaks and the chaos-mesh gate are named
+// scenarios of pacstack-soak (cluster-kill, cluster-cascade,
+// cluster-mesh, cluster-mesh-gate, cluster-mesh-vertical).
 package main
 
 import (
@@ -71,386 +39,62 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"pacstack/internal/cluster"
-	"pacstack/internal/harness"
-	"pacstack/internal/mesh"
-	"pacstack/internal/par"
-	"pacstack/internal/resilience"
 	"pacstack/internal/serve"
 	"pacstack/internal/snap"
-	"pacstack/internal/telemetry"
-	"pacstack/internal/traffic"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pacstack-cluster: ")
 	backends := flag.Int("backends", 3, "fleet width")
-	clients := flag.Int("clients", 8, "concurrent virtual clients (soak)")
-	requests := flag.Int("requests", 25, "requests per client (soak)")
-	workload := flag.String("workload", "chain", "workload name")
 	schemes := flag.String("schemes", "pacstack", "comma-separated scheme list; requests round-robin across it")
-	seed := flag.Int64("seed", 1, "cluster seed (same seed, byte-identical soak report)")
+	seed := flag.Int64("seed", 1, "cluster seed")
 	chaosRate := flag.Float64("chaos-rate", 0.1, "per-attempt fault-injection probability")
 	chaosKinds := flag.String("chaos-kinds", "", "comma-separated kinds: bitflip, retaddr, smash, register, sigframe (default retaddr,smash,sigframe)")
 	heal := flag.Int("heal", 0, "supervised respawns per request after a detected kill")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0, "per-request snapshot commit interval in instructions (0: off)")
-	checkpointCrash := flag.Float64("checkpoint-crash", 0, "per-request probability of a machine death mid-checkpoint")
-	workers := flag.Int("workers", 2, "modelled workers per backend")
-	queue := flag.Int("queue", 0, "modelled per-backend queue (0: 2*workers, <0: none)")
-	retries := flag.Int("retries", 3, "client retry budget for sheds and breaker denials")
+	workers := flag.Int("workers", 2, "workers per backend")
+	queue := flag.Int("queue", 0, "per-backend queue (0: 2*workers, <0: none)")
 	brThreshold := flag.Int("breaker-threshold", 8, "per-backend breaker threshold (<0: disabled)")
-	killAt := flag.String("kill-at", "", "comma-separated virtual cycles; one backend dies at each (empty: never)")
-	killBackend := flag.String("kill-backend", "", "comma-separated victims aligned with -kill-at (missing or <0: seeded pick)")
-	migrateLatency := flag.Uint64("migrate-latency", 5_000, "virtual cycles to ship snapshots and replay orphans")
 	failoverBudget := flag.Int("failover-budget", 1, "backend deaths the cluster absorbs with migration")
-	parWidth := flag.Int("par", 0, "precompute worker-pool width (0: GOMAXPROCS); the report must not depend on it")
-	asJSON := flag.Bool("json", false, "emit the report as JSON instead of the table")
-	check := flag.Bool("check", false, "exit non-zero unless the failover criteria hold (zero silent losses, keys re-seeded, budget charged once)")
-	telemetryDump := flag.String("telemetry-dump", "", "write the run's telemetry (metrics + events) as JSON to this path")
-
-	trafficMode := flag.String("traffic", "", "open-loop traffic model: default or burst (empty: closed client loop)")
-	cores := flag.Int("cores", 0, "modelled cores per backend for the contention model (traffic mode; 0: default)")
-	meshFile := flag.String("mesh", "", "JSON mesh.Config file with per-backend link faults (traffic mode)")
-	meshGray := flag.Int("mesh-gray", -1, "put the canned gray link (slow, lossy, never dead) on this backend (traffic mode; <0: none)")
-	hedge := flag.Bool("hedge", false, "hedge slow requests onto the next-ranked backend (traffic mode)")
-	outlier := flag.Bool("outlier", false, "eject statistical-outlier backends from routing (traffic mode)")
-	brownout := flag.Bool("brownout", false, "shed low-priority classes under overload (traffic mode)")
-	verticalMax := flag.Int("vertical-max", 0, "vertically scale per-backend cores up to this cap (traffic mode; 0: off)")
-	resilient := flag.Bool("resilient", false, "enable the full chaos-mesh defense: hedging, retry budget, outlier ejection, brownout")
-	meshGate := flag.Bool("mesh-gate", false, "run the canned gray-backend burst naive vs resilient and grade the pair")
-	sloReport := flag.String("slo-report", "", "write the per-class SLO evaluation as JSON to this path (traffic mode)")
-
-	daemon := flag.Bool("daemon", false, "serve the live fleet over HTTP instead of running the soak")
-	coldDaemon := flag.Bool("cold", false, "daemon backends boot a fresh machine per request instead of serving from warm snapshot-fork pools")
-	addr := flag.String("addr", ":8438", "listen address (daemon)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline (daemon; 0: none)")
-	drainWait := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline (daemon)")
-	stateDir := flag.String("state-dir", "", "per-backend on-disk snapshot stores (daemon); recovered at startup, final checkpoints committed on graceful shutdown")
+	coldDaemon := flag.Bool("cold", false, "backends boot a fresh machine per request instead of serving from warm snapshot-fork pools")
+	addr := flag.String("addr", ":8438", "listen address")
+	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline (0: none)")
+	drainWait := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline")
+	stateDir := flag.String("state-dir", "", "per-backend on-disk snapshot stores; recovered at startup, final checkpoints committed on graceful shutdown")
 	flag.Parse()
 
 	kinds, err := serve.ParseKinds(*chaosKinds)
 	if err != nil {
 		log.Fatal(err)
 	}
-	schemeList := strings.Split(*schemes, ",")
-	killList, err := parseKills(*killAt, *killBackend)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *daemon {
-		cl, err := cluster.New(cluster.Config{
-			Backends: *backends,
-			Seed:     *seed,
-			Backend: serve.Config{
-				Workers:         *workers,
-				Queue:           *queue,
-				Chaos:           *chaosRate > 0,
-				ChaosRate:       *chaosRate,
-				ChaosKinds:      kinds,
-				Heal:            *heal,
-				CheckpointEvery: *checkpointEvery,
-				Timeout:         *timeout,
-				Warm:            !*coldDaemon,
-			},
-			MachineSchemes:   schemeList,
-			BreakerThreshold: *brThreshold,
-			FailoverBudget:   *failoverBudget,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		runDaemon(cl, *addr, *drainWait, *stateDir)
-		return
-	}
-
-	if *parWidth > 0 {
-		restore := par.SetWorkers(*parWidth)
-		defer restore()
-	}
-
-	if *meshGate {
-		os.Exit(runMeshGate(*seed, *asJSON))
-	}
-
-	cfg := cluster.SoakConfig{
-		Backends:         *backends,
-		Clients:          *clients,
-		Requests:         *requests,
-		Workload:         *workload,
-		Schemes:          schemeList,
-		Seed:             *seed,
-		ChaosRate:        *chaosRate,
-		ChaosKinds:       kinds,
-		Heal:             *heal,
-		CheckpointEvery:  *checkpointEvery,
-		CheckpointCrash:  *checkpointCrash,
-		Workers:          *workers,
-		Queue:            *queue,
-		Cores:            *cores,
-		Retries:          *retries,
+	cl, err := cluster.New(cluster.Config{
+		Backends: *backends,
+		Seed:     *seed,
+		Backend: serve.Config{
+			Workers:         *workers,
+			Queue:           *queue,
+			Chaos:           *chaosRate > 0,
+			ChaosRate:       *chaosRate,
+			ChaosKinds:      kinds,
+			Heal:            *heal,
+			CheckpointEvery: *checkpointEvery,
+			Timeout:         *timeout,
+			Warm:            !*coldDaemon,
+		},
+		MachineSchemes:   strings.Split(*schemes, ","),
 		BreakerThreshold: *brThreshold,
-		Kills:            killList,
-		MigrateLatency:   *migrateLatency,
 		FailoverBudget:   *failoverBudget,
-	}
-
-	if *trafficMode != "" {
-		var model traffic.Model
-		switch *trafficMode {
-		case "default":
-			model = traffic.Default(*seed)
-		case "burst":
-			model = traffic.BurstScenario(*seed)
-		default:
-			log.Fatalf("unknown -traffic mode %q (want default or burst)", *trafficMode)
-		}
-		cfg.Traffic = &model
-	}
-	meshCfg, err := loadMesh(*meshFile, *meshGray)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Mesh = meshCfg
-	if *resilient {
-		// The canned defense: the same shape the mesh gate's resilient
-		// arm runs, minus its fleet sizing.
-		gate := cluster.MeshGateConfig(*seed, true)
-		cfg.Hedge = gate.Hedge
-		cfg.RetryBudget = gate.RetryBudget
-		cfg.Outlier = gate.Outlier
-		cfg.Brownout = gate.Brownout
-	}
-	if *hedge && cfg.Hedge == nil {
-		cfg.Hedge = &cluster.HedgeConfig{}
-	}
-	if *outlier && cfg.Outlier == nil {
-		cfg.Outlier = &cluster.OutlierConfig{}
-	}
-	if *brownout && cfg.Brownout == nil {
-		cfg.Brownout = &cluster.BrownoutConfig{}
-	}
-	if *verticalMax > 0 {
-		cfg.VerticalAdaptive = &resilience.AIMDConfig{Max: *verticalMax}
-	}
-
-	var tel *telemetry.Set
-	if *telemetryDump != "" {
-		tel = telemetry.New(telemetry.Options{})
-	}
-	cfg.Telemetry = tel
-	rep, err := cluster.Soak(context.Background(), cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *sloReport != "" {
-		if rep.SLO == nil {
-			log.Fatal("-slo-report needs a traffic-mode run (-traffic)")
-		}
-		out, err := json.MarshalIndent(rep.SLO, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*sloReport, append(out, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *telemetryDump != "" {
-		f, err := os.Create(*telemetryDump)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *asJSON {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-	} else {
-		fmt.Print(harness.ClusterSoak(rep))
-	}
-
-	if *check {
-		if err := rep.Check(); err != nil {
-			log.Printf("CHECK FAILED: %v", err)
-			// Leave the full report on disk so the failure can be
-			// diffed against a known-good run.
-			if f, err := os.CreateTemp("", "pacstack-cluster-failed-*.json"); err == nil {
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				if enc.Encode(rep) == nil {
-					log.Printf("failing report written to %s", f.Name())
-				}
-				f.Close()
-			}
-			os.Exit(1)
-		}
-	}
-}
-
-// parseKills turns the -kill-at / -kill-backend comma lists into kill
-// specs. Backends align positionally with the cycles; a missing or
-// negative entry means a seeded pick from the then-alive backends.
-func parseKills(ats, backends string) ([]cluster.KillSpec, error) {
-	if strings.TrimSpace(ats) == "" {
-		if strings.TrimSpace(backends) != "" {
-			return nil, fmt.Errorf("-kill-backend without -kill-at")
-		}
-		return nil, nil
-	}
-	atParts := strings.Split(ats, ",")
-	var beParts []string
-	if strings.TrimSpace(backends) != "" {
-		beParts = strings.Split(backends, ",")
-		if len(beParts) > len(atParts) {
-			return nil, fmt.Errorf("-kill-backend lists %d victims for %d kills", len(beParts), len(atParts))
-		}
-	}
-	kills := make([]cluster.KillSpec, 0, len(atParts))
-	for i, p := range atParts {
-		at, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil || at == 0 {
-			return nil, fmt.Errorf("-kill-at entry %d: want a positive virtual cycle, got %q", i, p)
-		}
-		spec := cluster.KillSpec{At: at, Backend: -1}
-		if i < len(beParts) {
-			b, err := strconv.Atoi(strings.TrimSpace(beParts[i]))
-			if err != nil {
-				return nil, fmt.Errorf("-kill-backend entry %d: %q", i, beParts[i])
-			}
-			spec.Backend = b
-		}
-		kills = append(kills, spec)
-	}
-	return kills, nil
-}
-
-// loadMesh builds the soak's mesh config from the flags: a JSON file,
-// the canned gray link on one backend, or both (the gray link wins a
-// collision on its index). Nil when neither flag is set.
-func loadMesh(file string, gray int) (*mesh.Config, error) {
-	var cfg mesh.Config
-	if file != "" {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return nil, fmt.Errorf("mesh file %s: %w", file, err)
-		}
-	}
-	if gray >= 0 {
-		if cfg.Links == nil {
-			cfg.Links = map[int]mesh.LinkConfig{}
-		}
-		cfg.Links[gray] = mesh.Gray()
-	}
-	if len(cfg.Links) == 0 {
-		return nil, nil
-	}
-	return &cfg, nil
-}
-
-// runMeshGate runs the canned gray-backend burst scenario twice —
-// naive, then with the full chaos-mesh defense — and grades the pair.
-// The robustness criterion: the naive fleet must demonstrably blow at
-// least one class SLO under the gray link and the burst, the resilient
-// fleet must hold every class through the same faults with zero hedge
-// key-sharing violations, and the secondaries it spent (hedges +
-// retries) must stay inside the configured retry budget. A gray link
-// too weak to hurt the naive fleet proves nothing, so that also fails
-// the gate. Returns the process exit code.
-func runMeshGate(seed int64, asJSON bool) int {
-	run := func(resilient bool) *cluster.ClusterReport {
-		rep, err := cluster.Soak(context.Background(), cluster.MeshGateConfig(seed, resilient))
-		if err != nil {
-			log.Fatal(err)
-		}
-		return rep
-	}
-	naive := run(false)
-	res := run(true)
-
-	if asJSON {
-		out, err := json.MarshalIndent(map[string]*traffic.SLOReport{
-			"naive": naive.SLO, "resilient": res.SLO,
-		}, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-	} else {
-		fmt.Print(harness.ClusterSoak(naive))
-		fmt.Println()
-		fmt.Print(harness.ClusterSoak(res))
-		fmt.Println()
-	}
-
-	code := 0
-	bad := func(format string, args ...any) {
-		log.Printf("MESH GATE FAILED: "+format, args...)
-		code = 1
-	}
-	if !naive.Graceful() || !res.Graceful() {
-		bad("a run was not graceful (naive %v, resilient %v)", naive.Graceful(), res.Graceful())
-	}
-	if naive.SLO == nil || res.SLO == nil {
-		bad("missing SLO report")
-		return 1
-	}
-	if naive.SLO.Pass {
-		bad("the naive fleet survived the gray backend — the scenario exercises nothing")
-	}
-	if !res.SLO.Pass {
-		var failed []string
-		for _, c := range res.SLO.Classes {
-			if !c.Pass {
-				failed = append(failed, fmt.Sprintf("%s (%s)", c.Class, strings.Join(c.Violations, "; ")))
-			}
-		}
-		bad("resilient fleet out of SLO: %s", strings.Join(failed, ", "))
-	}
-	if err := res.Check(); err != nil {
-		bad("resilient acceptance: %v", err)
-	}
-	if res.Hedges == 0 {
-		bad("the resilient fleet never hedged — the pass is not its doing")
-	}
-	if res.HedgeKeyViolations > 0 {
-		bad("%d hedged pair(s) shared PA keys", res.HedgeKeyViolations)
-	}
-	if res.Budget == nil {
-		bad("resilient run carried no retry budget")
-	} else if res.Budget.Granted > res.BudgetBound {
-		bad("retry amplification %d secondaries exceeds the budget bound %d", res.Budget.Granted, res.BudgetBound)
-	}
-	if code == 0 {
-		var naiveFailed []string
-		for _, c := range naive.SLO.Classes {
-			if !c.Pass {
-				naiveFailed = append(naiveFailed, c.Class)
-			}
-		}
-		log.Printf("mesh gate OK: naive fleet violates SLO for %s behind the gray link; resilient fleet (hedges %d won %d, browned %d, ejections %d, secondaries %d <= bound %d) holds every class",
-			strings.Join(naiveFailed, ","), res.Hedges, res.HedgeWins, res.BrownedOut, res.Ejections, res.Budget.Granted, res.BudgetBound)
-	}
-	return code
+	runDaemon(cl, *addr, *drainWait, *stateDir)
 }
 
 // runDaemon serves the live fleet until SIGTERM/SIGINT, then drains

@@ -11,11 +11,10 @@
 // machine must replay to a final state byte-identical to the
 // uninterrupted run.
 //
-// The report is a pure function of the flags: run it twice and the
-// output is byte-identical, which is how check.sh gates on it. The
-// -json report embeds the campaign's telemetry dump (store commits,
-// recoveries, anomaly tallies by kind) under a pinned clock, so the
-// same double-run cmp also proves the telemetry deterministic.
+// The report is a pure function of the flags. The -json report embeds
+// the campaign's telemetry dump (store commits, recoveries, anomaly
+// tallies by kind) under a pinned clock; at the defaults it is the
+// snap-crash-matrix scenario, pinned to testdata/golden by TestGolden.
 //
 // Usage:
 //
@@ -27,16 +26,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 
 	"pacstack/internal/harness"
 	"pacstack/internal/serve"
 	"pacstack/internal/snap"
-	"pacstack/internal/telemetry"
 )
 
 func main() {
@@ -57,36 +53,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The matrix has no timeline — pin the clock to zero so the
-	// embedded telemetry dump is a pure function of the flags.
-	tel := telemetry.New(telemetry.Options{Clock: func() uint64 { return 0 }})
-	rep, err := snap.RunMatrix(snap.MatrixConfig{
+	res, err := harness.CrashMatrixRun(snap.MatrixConfig{
 		Seeds:        *seeds,
 		BaseSeed:     *baseSeed,
 		Scheme:       sc,
 		ImageSamples: *samples,
-		Tel:          snap.NewTelemetry(tel.Registry()),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *asJSON {
-		out, err := json.MarshalIndent(struct {
-			*snap.MatrixReport
-			Telemetry telemetry.Dump `json:"telemetry"`
-		}{rep, tel.Dump()}, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-	} else {
-		fmt.Print(harness.CrashMatrix(rep))
+	out, err := res.Artifacts(*asJSON)
+	if err != nil {
+		log.Fatal(err)
 	}
+	report := out[".txt"]
+	if *asJSON {
+		report = out[".json"]
+	}
+	os.Stdout.Write(report)
 
-	if !rep.Clean() {
-		log.Printf("CHECK FAILED: silent=%d replay-mismatches=%d panics=%d",
-			rep.Totals.Silent, rep.Totals.ReplayMismatches, rep.Totals.Panics)
+	if !res.Verdict.Pass() {
+		log.Printf("CHECK FAILED: %v", res.Verdict.Err())
 		os.Exit(1)
 	}
 }

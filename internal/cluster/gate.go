@@ -14,8 +14,11 @@
 package cluster
 
 import (
+	"context"
+
 	"pacstack/internal/mesh"
 	"pacstack/internal/resilience"
+	"pacstack/internal/serve"
 	"pacstack/internal/traffic"
 )
 
@@ -54,4 +57,59 @@ func MeshGateConfig(seed int64, resilient bool) SoakConfig {
 		cfg.Brownout = &BrownoutConfig{BurnPermille: 150, DenyThreshold: 2}
 	}
 	return cfg
+}
+
+// MeshGateReport is the mesh gate's two runs and its ruling.
+type MeshGateReport struct {
+	Naive, Resilient *ClusterReport
+	Verdict          serve.Verdict
+}
+
+// MeshGate runs cfg twice — naive (cfg with its chaos-mesh defense
+// stripped: no hedging, retry budget, outlier ejection or brownout),
+// then as given — and grades the pair: the naive fleet must blow at
+// least one class SLO, and the resilient fleet must hold every class,
+// pass Check, have hedged, with zero hedge key-sharing violations
+// (PACStack §4.3 key independence) and its secondaries (hedges +
+// retries) inside the retry-budget bound.
+func MeshGate(ctx context.Context, cfg SoakConfig) (*MeshGateReport, error) {
+	naive := cfg
+	naive.Hedge, naive.RetryBudget, naive.Outlier, naive.Brownout = nil, nil, nil, nil
+	g := &MeshGateReport{}
+	var err error
+	if g.Naive, err = Soak(ctx, naive); err != nil {
+		return nil, err
+	}
+	if g.Resilient, err = Soak(ctx, cfg); err != nil {
+		return nil, err
+	}
+	v, res := &g.Verdict, g.Resilient
+	if !g.Naive.Graceful() || !res.Graceful() {
+		v.Failf("a run was not graceful (naive %v, resilient %v)", g.Naive.Graceful(), res.Graceful())
+	}
+	if g.Naive.SLO == nil || res.SLO == nil {
+		v.Failf("missing SLO report")
+		return g, nil
+	}
+	if g.Naive.SLO.Pass {
+		v.Failf("the naive fleet survived the gray backend — the scenario exercises nothing")
+	}
+	if !res.SLO.Pass {
+		v.Failf("resilient fleet out of SLO: %s", res.SLO.Failures())
+	}
+	if err := res.Check(); err != nil {
+		v.Failf("resilient acceptance: %v", err)
+	}
+	if res.Hedges == 0 {
+		v.Failf("the resilient fleet never hedged — the pass is not its doing")
+	}
+	if res.HedgeKeyViolations > 0 {
+		v.Failf("%d hedged pair(s) shared PA keys", res.HedgeKeyViolations)
+	}
+	if res.Budget == nil {
+		v.Failf("resilient run carried no retry budget")
+	} else if res.Budget.Granted > res.BudgetBound {
+		v.Failf("retry amplification %d secondaries exceeds the budget bound %d", res.Budget.Granted, res.BudgetBound)
+	}
+	return g, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pacstack/internal/mesh"
@@ -25,51 +26,38 @@ func sloSummary(rep *ClusterReport) string {
 	return b.String()
 }
 
-// TestMeshGateNaiveVsResilient is the tentpole acceptance test: under
-// the canned gray-backend scenario the naive cluster must blow at
-// least one class SLO, while the resilient one (hedges + retry budget
-// + ejection + brownout) holds every class — with retry amplification
-// provably inside the configured budget and the gray backend actually
-// ejected.
+// TestMeshGateNaiveVsResilient runs the mesh gate on its canned
+// gray-backend scenario: the verdict must pass (naive blows an SLO,
+// resilient holds every class inside the retry budget), and — beyond
+// what the gate checks — the gray backend must actually be ejected.
 func TestMeshGateNaiveVsResilient(t *testing.T) {
-	run := func(resilient bool) *ClusterReport {
-		rep, err := Soak(context.Background(), MeshGateConfig(42, resilient))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Graceful() {
-			t.Fatalf("resilient=%v: not graceful:\n%s", resilient, sloSummary(rep))
-		}
-		return rep
+	g, err := MeshGate(context.Background(), MeshGateConfig(42, true))
+	if err != nil {
+		t.Fatal(err)
 	}
-	naive := run(false)
-	resilient := run(true)
-	t.Logf("naive:\n%s", sloSummary(naive))
-	t.Logf("resilient:\n%s", sloSummary(resilient))
-
-	if naive.SLO.Pass {
-		t.Errorf("naive cluster survived the gray backend — the scenario exercises nothing:\n%s", sloSummary(naive))
+	if !g.Verdict.Pass() {
+		t.Errorf("mesh gate failed: %v\nnaive:\n%s\nresilient:\n%s", g.Verdict.Err(), sloSummary(g.Naive), sloSummary(g.Resilient))
 	}
-	if !resilient.SLO.Pass {
-		t.Errorf("resilient cluster out of SLO:\n%s", sloSummary(resilient))
-	}
-	if err := resilient.Check(); err != nil {
-		t.Errorf("resilient Check: %v", err)
-	}
-	if resilient.Hedges == 0 {
-		t.Error("resilient run never hedged")
-	}
-	if resilient.HedgeKeyViolations != 0 {
-		t.Errorf("%d hedge pair(s) share PA keys", resilient.HedgeKeyViolations)
-	}
-	if resilient.Ejections == 0 {
+	if g.Resilient.Ejections == 0 {
 		t.Error("the gray backend was never ejected")
 	}
-	if resilient.Budget == nil {
-		t.Fatal("no retry-budget accounting")
+}
+
+// TestMeshGateFailsWithoutFaults: with no gray link and burst-free
+// traffic the naive fleet holds its SLOs, and a gate whose scenario
+// hurts nothing must fail. (No gray link alone is not enough: the
+// burst by itself pushes the naive web p99 over target at seed 42.)
+func TestMeshGateFailsWithoutFaults(t *testing.T) {
+	cfg := MeshGateConfig(42, true)
+	cfg.Mesh = nil
+	model := traffic.Default(42)
+	cfg.Traffic = &model
+	g, err := MeshGate(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, bound := resilient.Budget.Granted, resilient.BudgetBound; got > bound {
-		t.Errorf("retry amplification %d secondaries over the bound %d", got, bound)
+	if !strings.Contains(strings.Join(g.Verdict, "\n"), "exercises nothing") {
+		t.Fatalf("mesh gate without faults: want an 'exercises nothing' failure, got %q", g.Verdict)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // CrashMatrix renders a crash-matrix campaign (internal/snap.RunMatrix)
 // as the deterministic end-of-run summary cmd/pacstack-snap prints.
 // Pure function of the report: byte-identical reports render
-// byte-identically, so check.sh can diff two runs.
+// byte-identically.
 func CrashMatrix(r *snap.MatrixReport) string {
 	var b strings.Builder
 	b.WriteString("Crash matrix: torn commits at every protocol offset + seeded post-hoc storage faults (internal/snap)\n")

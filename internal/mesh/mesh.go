@@ -234,7 +234,7 @@ func (m *Mesh) Sample(idx int, now uint64) Verdict {
 	return v
 }
 
-// Gray is the canned gray-backend link the check.sh mesh gate runs: a
+// Gray is the canned gray-backend link the chaos-mesh gate (cluster.MeshGate) runs: a
 // backend that still answers — slowly, lossily — without ever looking
 // dead to a liveness probe. The base added round trip sits exactly at
 // the canned web class's p99 target (262_144 cycles), so every

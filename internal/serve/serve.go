@@ -18,8 +18,8 @@
 //
 // The package has three faces: Server.Do (the execution core),
 // Server.Handler (the HTTP/JSON surface used by cmd/pacstack-serve),
-// and Soak (a deterministic virtual-time load generator used by
-// cmd/pacstack-soak and the repository gate).
+// and Soak (a deterministic virtual-time load generator behind the
+// named scenarios of internal/harness and cmd/pacstack-soak).
 package serve
 
 import (

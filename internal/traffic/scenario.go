@@ -99,7 +99,7 @@ func ForkServerScenario(seed int64) Model {
 	}
 }
 
-// BurstScenario is the canned 10x-burst scenario the check.sh gate
+// BurstScenario is the canned 10x-burst scenario the traffic gate
 // and the adaptive-vs-static tests run: the default diurnal mixture
 // plus the hostile classes, with a 10x Poisson burst overlay holding
 // for a million cycles mid-horizon.

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"strings"
 
 	"pacstack/internal/resilience"
 	"pacstack/internal/telemetry"
@@ -229,4 +230,16 @@ func (r *SLOReport) Class(name string) *ClassReport {
 		}
 	}
 	return nil
+}
+
+// Failures names every class that missed its SLO, each with its
+// violations in parentheses, comma-separated.
+func (r *SLOReport) Failures() string {
+	var failed []string
+	for _, c := range r.Classes {
+		if !c.Pass {
+			failed = append(failed, fmt.Sprintf("%s (%s)", c.Class, strings.Join(c.Violations, "; ")))
+		}
+	}
+	return strings.Join(failed, ", ")
 }
