@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 )
 
@@ -55,5 +57,54 @@ func TestDoSurvivesMidCheckpointCrash(t *testing.T) {
 	}
 	if !sawTorn || !sawRestore {
 		t.Errorf("torn=%v restore=%v: the crash dimension never fired; widen the seed range", sawTorn, sawRestore)
+	}
+}
+
+// TestSoakKillMidCheckpoint is the tentpole's soak coverage: chaos
+// faults AND mid-checkpoint machine deaths under virtual time, with
+// the usual gates — graceful accounting, zero silent corruptions —
+// plus the new one: torn commits happened and none leaked.
+func TestSoakKillMidCheckpoint(t *testing.T) {
+	cfg := soakConfigForTest()
+	cfg.Heal = 2
+	cfg.CheckpointEvery = 300
+	cfg.CheckpointCrash = 0.5
+	rep, err := Soak(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Graceful() {
+		t.Fatalf("soak not graceful: %+v", rep)
+	}
+	if rep.Silent != 0 {
+		t.Errorf("silent corruptions = %d, want 0", rep.Silent)
+	}
+	if rep.Checkpoints == 0 {
+		t.Errorf("no checkpoints committed")
+	}
+	if rep.TornCommits == 0 {
+		t.Errorf("no torn commits at 50%% crash probability")
+	}
+}
+
+// TestSoakCheckpointDeterministic: the checkpoint/crash dimension
+// must not cost the soak its byte-identity.
+func TestSoakCheckpointDeterministic(t *testing.T) {
+	cfg := soakConfigForTest()
+	cfg.Heal = 2
+	cfg.CheckpointEvery = 300
+	cfg.CheckpointCrash = 0.5
+	r1, err := Soak(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Soak(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, _ := json.MarshalIndent(r1, "", "  ")
+	j2, _ := json.MarshalIndent(r2, "", "  ")
+	if !bytes.Equal(j1, j2) {
+		t.Fatalf("checkpointed soak reports diverged:\n%s\n---\n%s", j1, j2)
 	}
 }
