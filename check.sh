@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repository gate: everything must build, pass vet, pass the full test
-# suite with the race detector on, and keep every benchmark runnable so
-# the perf trajectory (bench.sh / BENCH_*.json) cannot rot.
+# Repository gate: every Go file must be gofmt-clean, and everything
+# must build, pass vet, pass the full test suite with the race detector
+# on, and keep every benchmark runnable so the perf trajectory
+# (bench.sh / BENCH_*.json) cannot rot.
 #
 # The suite carries every end-to-end gate in process: TestGolden runs
 # each named scenario (internal/harness.Scenarios: the soaks, the
@@ -12,6 +13,7 @@
 # compiled engine to the single-step oracle.
 set -eux
 cd "$(dirname "$0")"
+test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 go test -race ./...

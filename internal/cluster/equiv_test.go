@@ -44,12 +44,7 @@ func TestOneBackendFleetEqualsServeSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Soak(context.Background(), SoakConfig{
-				Backends: 1, Clients: c.s.Clients, Requests: c.s.Requests, Seed: c.s.Seed,
-				ChaosRate: c.s.ChaosRate, Heal: c.s.Heal, Workers: c.s.Workers, Queue: c.s.Queue,
-				Cores: c.s.Cores, Think: c.s.Think, Retries: c.s.Retries, BreakerThreshold: -1,
-				Traffic: c.s.Traffic,
-			})
+			got, err := Soak(context.Background(), SoakConfig{SoakConfig: c.s, Backends: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,27 +33,16 @@ import (
 // SoakConfig parameterises a cluster soak. Time-valued knobs are in
 // simulated cycles.
 type SoakConfig struct {
+	// The serving knobs mean what they mean in serve.SoakConfig, with
+	// the same defaults except Workers (2). Workers, Queue, Cores and
+	// the breaker knobs shape each backend; BreakerThreshold < 0
+	// disables the breakers (the router then sees every backend as
+	// closed). BootModel and Adaptive are one-backend knobs the fleet
+	// rejects.
+	serve.SoakConfig
+
 	// Backends is the fleet width. Default 3.
 	Backends int
-
-	// The serving knobs mean what they mean in serve.SoakConfig, with
-	// the same defaults except Workers (2). Workers, Queue and the
-	// breaker knobs shape each backend; BreakerThreshold < 0 disables
-	// the breakers (the router then sees every backend as closed).
-	Clients, Requests                int
-	Workload                         string
-	Schemes                          []string
-	Seed                             int64
-	ChaosRate                        float64
-	ChaosKinds                       []fault.Kind
-	Heal                             int
-	CheckpointEvery                  uint64
-	CheckpointCrash                  float64
-	Workers, Queue                   int
-	Retries                          int
-	BackoffBase, BackoffCap          uint64
-	BreakerThreshold                 int
-	BreakerCooldown, Think, Overhead uint64
 
 	// Kills schedules any number of backend deaths at distinct virtual
 	// instants — the kill-a-backend-mid-soak and cascading-failure
@@ -63,57 +52,49 @@ type SoakConfig struct {
 	// never silent). A kill whose victim is already dead is a no-op.
 	Kills []KillSpec
 
-	// MigrateLatency is the virtual-time cost of shipping the dead
-	// backend's snapshots and replaying its orphaned requests on the
-	// survivors. Default 5_000 cycles.
-	MigrateLatency uint64
-
 	// FailoverBudget is how many backend deaths the cluster will absorb
 	// with migration + replay; deaths beyond it abandon the orphans
 	// (accounted as gave-up — never silent). Default 1. It is charged
 	// once per failover, not per machine or per replayed request.
 	FailoverBudget int
 
-	// Telemetry, when non-nil, receives metrics and events stamped with
-	// virtual time; the dump is byte-identical across runs and widths.
-	Telemetry *telemetry.Set
-
-	// Traffic switches the soak into the open-loop mesh mode: a traffic
-	// model generates the arrival stream and
-	// the knobs below become meaningful. Traffic mode and the kill
-	// schedule are mutually exclusive.
-	Traffic *traffic.Model
-
-	// Cores models each backend's core count for the contention model
-	// (traffic mode). Default Workers.
-	Cores int
+	// The knobs below require traffic mode (Traffic set), which
+	// excludes the kill schedule.
 
 	// Mesh is the network fault model injected between router and
-	// backends (traffic mode only).
+	// backends.
 	Mesh *mesh.Config
 
-	// DropTimeout is how long (virtual cycles) the sender waits on a
-	// mesh-dropped message before declaring the attempt lost. Default
-	// 64_000.
-	DropTimeout uint64
-
-	// Hedge enables hedged requests (traffic mode only).
+	// Hedge enables hedged requests.
 	Hedge *HedgeConfig
 
 	// RetryBudget caps cluster-wide secondaries (retries + hedges) as
-	// a fraction of primaries (traffic mode only).
+	// a fraction of primaries.
 	RetryBudget *resilience.RetryBudgetConfig
 
-	// Outlier enables gray-backend ejection (traffic mode only).
+	// Outlier enables gray-backend ejection.
 	Outlier *OutlierConfig
 
-	// Brownout enables priority brownout (traffic mode only).
+	// Brownout enables priority brownout.
 	Brownout *BrownoutConfig
 
 	// VerticalAdaptive, when non-nil, runs one AIMD instance per
-	// backend resizing its modelled core count (traffic mode only).
+	// backend resizing its modelled core count.
 	VerticalAdaptive *resilience.AIMDConfig
 }
+
+// The fleet's fixed timings, in virtual cycles.
+const (
+	// migrateLatency is the cost of shipping a dead backend's snapshots
+	// and replaying its orphaned requests on the survivors.
+	migrateLatency = 5_000
+	// fallbackHedgeDelay is the hedge delay of a class with no latency
+	// SLO; every hedge adds a seeded uniform draw in [0, hedgeJitter].
+	fallbackHedgeDelay = 16_384
+	hedgeJitter        = fallbackHedgeDelay / 4
+	// brownoutInterval is the brownout controller's evaluation window.
+	brownoutInterval = 20_000
+)
 
 func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Backends <= 0 {
@@ -122,19 +103,10 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.MigrateLatency == 0 {
-		c.MigrateLatency = 5_000
-	}
 	if c.FailoverBudget == 0 {
 		c.FailoverBudget = 1
 	}
-	if c.DropTimeout == 0 {
-		c.DropTimeout = 64_000
-	}
-	s := c.serveConfig().WithDefaults()
-	c.Clients, c.Requests, c.Workload, c.Schemes, c.Seed = s.Clients, s.Requests, s.Workload, s.Schemes, s.Seed
-	c.ChaosKinds, c.Queue, c.Retries, c.BackoffBase, c.BackoffCap = s.ChaosKinds, s.Queue, s.Retries, s.BackoffBase, s.BackoffCap
-	c.BreakerThreshold, c.BreakerCooldown, c.Think, c.Overhead = s.BreakerThreshold, s.BreakerCooldown, s.Think, s.Overhead
+	c.SoakConfig = c.SoakConfig.WithDefaults()
 	return c
 }
 
@@ -226,8 +198,8 @@ type ClusterReport struct {
 	SharedKeyViolations int              `json:"shared_key_violations"`
 	Migration           *MigrationReport `json:"migration,omitempty"`
 
-	PerBackend []BackendRow    `json:"per_backend"`
-	PerScheme  []serve.SoakRow `json:"per_scheme"`
+	PerBackend []BackendRow `json:"per_backend"`
+	PerScheme  []des.Row    `json:"per_scheme"`
 
 	VirtualCycles uint64 `json:"virtual_cycles"`
 	InFlightAtEnd int    `json:"in_flight_at_end"`
@@ -258,7 +230,7 @@ type ClusterReport struct {
 // reached exactly one terminal state and nothing was left in flight —
 // the "no request lost" identity, now across a backend death.
 func (r *ClusterReport) Graceful() bool {
-	return r.InFlightAtEnd == 0 && r.OK+r.Detected+r.Silent+r.GaveUp == r.Issued
+	return r.InFlightAtEnd == 0 && r.Terminal() == r.Issued
 }
 
 // Check enforces the failover acceptance criteria: a graceful run with
@@ -268,7 +240,7 @@ func (r *ClusterReport) Graceful() bool {
 func (r *ClusterReport) Check() error {
 	if !r.Graceful() {
 		return fmt.Errorf("cluster: lost requests: issued %d, terminal %d, in flight %d",
-			r.Issued, r.OK+r.Detected+r.Silent+r.GaveUp, r.InFlightAtEnd)
+			r.Issued, r.Terminal(), r.InFlightAtEnd)
 	}
 	if r.Silent > 0 {
 		return fmt.Errorf("cluster: %d silent corruption(s)", r.Silent)
@@ -307,35 +279,18 @@ func (r *ClusterReport) Check() error {
 	return nil
 }
 
-// HedgeConfig parameterises hedged requests. The per-class hedge
-// delay is the class's P50 target when it has one (hedge when the
-// request is already slower than half its traffic should be), else
-// P99/4, else Delay; every hedge adds a seeded jitter draw so
-// same-instant primaries don't hedge in lockstep.
-type HedgeConfig struct {
-	// Delay is the fallback hedge delay in virtual cycles for classes
-	// with no latency SLO. Default 16_384.
-	Delay uint64 `json:"delay"`
-	// Jitter bounds the seeded per-hedge uniform extra delay. Default
-	// Delay/4.
-	Jitter uint64 `json:"jitter"`
-}
+// HedgeConfig switches hedged requests on; it has no knobs. The
+// per-class hedge delay is the class's P50 target when it has one
+// (hedge when the request is already slower than half its traffic
+// should be), else P99/4, else fallbackHedgeDelay; every hedge adds
+// a seeded jitter draw so same-instant primaries don't hedge in
+// lockstep.
+type HedgeConfig struct{}
 
-func (c HedgeConfig) withDefaults() HedgeConfig {
-	if c.Delay == 0 {
-		c.Delay = 16_384
-	}
-	if c.Jitter == 0 {
-		c.Jitter = c.Delay / 4
-	}
-	return c
-}
-
-// BrownoutConfig parameterises the priority brownout controller.
+// BrownoutConfig parameterises the priority brownout controller. It
+// evaluates one window every brownoutInterval cycles and sheds at most
+// every priority tier but the most important one.
 type BrownoutConfig struct {
-	// Interval is the evaluation window in virtual cycles. Default
-	// 20_000.
-	Interval uint64 `json:"interval"`
 	// BurnPermille escalates when a window's failure burn (timeouts +
 	// sheds + denials per fresh arrival), cluster-wide or on any one
 	// backend, crosses it. De-escalation needs burn under half of it.
@@ -344,15 +299,9 @@ type BrownoutConfig struct {
 	// DenyThreshold escalates when a window sees this many
 	// retry-budget denials. Default 4.
 	DenyThreshold int `json:"deny_threshold"`
-	// MaxLevel caps the brownout depth in priority tiers. Default:
-	// every tier except the most important one.
-	MaxLevel int `json:"max_level"`
 }
 
 func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.Interval == 0 {
-		c.Interval = 20_000
-	}
 	if c.BurnPermille <= 0 {
 		c.BurnPermille = 300
 	}
@@ -362,23 +311,11 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 	return c
 }
 
-// serveConfig is the part of the soak the shared replay prepares:
-// arrival source, precompute and the per-backend server shape.
-func (c SoakConfig) serveConfig() serve.SoakConfig {
-	return serve.SoakConfig{
-		Clients: c.Clients, Requests: c.Requests, Workload: c.Workload, Schemes: c.Schemes,
-		Seed: c.Seed, ChaosRate: c.ChaosRate, ChaosKinds: c.ChaosKinds, Heal: c.Heal,
-		CheckpointEvery: c.CheckpointEvery, CheckpointCrash: c.CheckpointCrash,
-		Workers: c.Workers, Queue: c.Queue, Cores: c.Cores,
-		Retries: c.Retries, BackoffBase: c.BackoffBase, BackoffCap: c.BackoffCap,
-		BreakerThreshold: c.BreakerThreshold, BreakerCooldown: c.BreakerCooldown,
-		Think: c.Think, Overhead: c.Overhead,
-		Telemetry: c.Telemetry, Traffic: c.Traffic,
-	}
-}
-
 // validate rejects knob combinations the modes do not support.
 func (c SoakConfig) validate() error {
+	if c.BootModel != "" || c.Adaptive != nil {
+		return fmt.Errorf("cluster: BootModel and Adaptive are one-backend soak knobs")
+	}
 	if c.Traffic == nil {
 		for _, k := range []struct {
 			set  bool
@@ -423,12 +360,6 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Traffic != nil && cfg.Telemetry == nil {
-		// Report fields (per-backend service p99) read the histograms,
-		// and the report must not change shape with telemetry plumbed
-		// in or out: a run without a set gets a private one.
-		cfg.Telemetry = telemetry.New(telemetry.Options{})
-	}
 	workload := cfg.Workload
 	if cfg.Traffic != nil {
 		workload = "chain" // the resident machines behind the hedge key assertion
@@ -443,7 +374,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 			return nil, err
 		}
 	}
-	sim, _, err := serve.SoakSim(ctx, cfg.serveConfig(), cfg.Backends)
+	sim, _, err := serve.SoakSim(ctx, cfg.SoakConfig, cfg.Backends)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +391,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 		sim.At(k.At, func() { f.err = f.kill(k) })
 	}
 	if f.brown != nil {
-		sim.Every(f.brown.Interval, f.brownoutTick)
+		sim.Every(brownoutInterval, f.brownoutTick)
 	}
 	if cfg.VerticalAdaptive != nil {
 		sim.Every(f.verticalInterval, f.verticalTick)
@@ -495,8 +426,7 @@ type fleet struct {
 	net                             *mesh.Mesh
 	ejector                         *Ejector
 	budget                          *resilience.RetryBudget
-	hedge                           *HedgeConfig
-	hedgeRNG                        *rand.Rand
+	hedgeRNG                        *rand.Rand // nil: hedging off
 	brown                           *BrownoutConfig
 	shedOrder                       []int
 	level, calm                     int
@@ -504,7 +434,7 @@ type fleet struct {
 	winBkBad, winBkRouted           []int
 	ctls                            []*resilience.AIMD
 	verticalInterval                uint64
-	svc                             []*telemetry.Histogram
+	svc, svcReg                     []*telemetry.Histogram // service durations: run-private, registry
 	dropVec, timeoutVec, brownVec   *telemetry.CounterVec
 	hedgesC, hedgeWinsC, noBackendC *telemetry.Counter
 	budgetDeniedC, resizesC         *telemetry.Counter
@@ -573,9 +503,9 @@ func (f *fleet) initTraffic(reg *telemetry.Registry) error {
 	f.budgetDeniedC = reg.Counter("pacstack_cluster_retry_budget_denied_total", "secondary attempts refused by the retry budget")
 	f.resizesC = reg.Counter("pacstack_cluster_core_resizes_total", "vertical core-count changes")
 	for i := 0; i < cfg.Backends; i++ {
-		f.svc = append(f.svc, svcVec.With(fmt.Sprint(i)))
+		f.svc = append(f.svc, telemetry.NewHistogram(traffic.LatencyBounds))
+		f.svcReg = append(f.svcReg, svcVec.With(fmt.Sprint(i)))
 	}
-	f.sim.DropTimeout = cfg.DropTimeout
 	if cfg.RetryBudget != nil {
 		f.budget = resilience.NewRetryBudget(*cfg.RetryBudget)
 	}
@@ -586,8 +516,6 @@ func (f *fleet) initTraffic(reg *telemetry.Registry) error {
 		})
 	}
 	if cfg.Hedge != nil {
-		h := cfg.Hedge.withDefaults()
-		f.hedge = &h
 		f.hedgeRNG = rand.New(rand.NewSource(des.Mix(cfg.Seed, 0x4ed6e)))
 	}
 	if cfg.Brownout != nil {
@@ -603,9 +531,6 @@ func (f *fleet) initTraffic(reg *telemetry.Registry) error {
 			}
 		}
 		sort.Sort(sort.Reverse(sort.IntSlice(f.shedOrder)))
-		if max := len(f.shedOrder) - 1; b.MaxLevel <= 0 || b.MaxLevel > max {
-			b.MaxLevel = max // never shed the most important tier
-		}
 	}
 	if cfg.VerticalAdaptive != nil {
 		v := *cfg.VerticalAdaptive
@@ -727,7 +652,10 @@ func (f *fleet) hooks() des.Hooks {
 		return h
 	}
 	h.Arrive = f.arrive
-	h.Started = func(a *des.Attempt) { f.svc[a.Backend].Observe(a.Dur) }
+	h.Started = func(a *des.Attempt) {
+		f.svc[a.Backend].Observe(a.Dur)
+		f.svcReg[a.Backend].Observe(a.Dur)
+	}
 	h.Cancelled = func(a *des.Attempt) {
 		// The losing attempt still teaches the ejector about its link:
 		// the late response eventually arrives, and its timing reveals
@@ -767,7 +695,7 @@ func (f *fleet) hooks() des.Hooks {
 	if f.budget != nil {
 		h.SpendRetry = f.spendSecondary
 	}
-	if f.hedge != nil {
+	if f.hedgeRNG != nil {
 		h.Launched = func(a *des.Attempt) {
 			sim.Push(des.Event{At: sim.Now + f.hedgeDelay(a.ID), Kind: des.Hedge, ID: a.ID, Tok: a.Tok})
 		}
@@ -838,20 +766,17 @@ func (f *fleet) spendSecondary() bool {
 }
 
 // hedgeDelay is the class's hedge delay — its P50 target when it has
-// one, else P99/4, else the configured Delay — plus a seeded jitter
+// one, else P99/4, else fallbackHedgeDelay — plus a seeded jitter
 // draw so same-instant primaries don't hedge in lockstep.
 func (f *fleet) hedgeDelay(id int) uint64 {
 	slo := f.cfg.Traffic.Classes[f.sim.Src.Reqs[id].Class].SLO
-	d := f.hedge.Delay
+	d := uint64(fallbackHedgeDelay)
 	if slo.P50 > 0 {
 		d = slo.P50
 	} else if slo.P99 > 0 {
 		d = slo.P99 / 4
 	}
-	if f.hedge.Jitter > 0 {
-		d += uint64(f.hedgeRNG.Int63n(int64(f.hedge.Jitter) + 1))
-	}
-	return d
+	return d + uint64(f.hedgeRNG.Int63n(hedgeJitter+1))
 }
 
 // hedgeAttempt launches a live primary's speculative duplicate on the
@@ -972,7 +897,7 @@ func (f *fleet) kill(spec KillSpec) error {
 		f.replayed[id] = true
 		rep.Replayed++
 		krow.Replayed++
-		sim.Push(des.Event{At: sim.Now + f.cfg.MigrateLatency, Kind: des.Issue, ID: id})
+		sim.Push(des.Event{At: sim.Now + migrateLatency, Kind: des.Issue, ID: id})
 	}
 	rep.Kills = append(rep.Kills, krow)
 	return nil
@@ -1013,7 +938,7 @@ func (f *fleet) brownoutTick() {
 	switch {
 	case hot:
 		f.calm = 0
-		if f.level < bc.MaxLevel {
+		if f.level < len(f.shedOrder)-1 { // never shed the most important tier
 			f.level++
 			if f.level > f.rep.BrownoutMaxLevel {
 				f.rep.BrownoutMaxLevel = f.level

@@ -9,6 +9,7 @@ import (
 
 	"pacstack/internal/mesh"
 	"pacstack/internal/resilience"
+	"pacstack/internal/serve"
 	"pacstack/internal/traffic"
 )
 
@@ -70,10 +71,8 @@ func TestTrafficSoakAllLinksDown(t *testing.T) {
 	model := traffic.Default(7)
 	model.Horizon = 2_000_000
 	cfg := SoakConfig{
-		Backends: 3,
-		Workers:  2,
-		Seed:     7,
-		Traffic:  &model,
+		SoakConfig: serve.SoakConfig{Workers: 2, Seed: 7, Traffic: &model},
+		Backends:   3,
 		Mesh: &mesh.Config{Links: map[int]mesh.LinkConfig{
 			0: {Down: true}, 1: {Down: true}, 2: {Down: true},
 		}},
@@ -85,7 +84,7 @@ func TestTrafficSoakAllLinksDown(t *testing.T) {
 	}
 	if !rep.Graceful() {
 		t.Fatalf("not graceful: issued %d, terminal %d, in flight %d",
-			rep.Issued, rep.OK+rep.Detected+rep.Silent+rep.GaveUp, rep.InFlightAtEnd)
+			rep.Issued, rep.Terminal(), rep.InFlightAtEnd)
 	}
 	if rep.OK != 0 {
 		t.Errorf("%d requests completed through an all-down mesh", rep.OK)
@@ -111,10 +110,8 @@ func TestTrafficSoakHedgePairKeys(t *testing.T) {
 	model := traffic.Default(3)
 	model.Horizon = 3_000_000
 	cfg := SoakConfig{
-		Backends: 3,
-		Workers:  2,
-		Seed:     3,
-		Traffic:  &model,
+		SoakConfig: serve.SoakConfig{Workers: 2, Seed: 3, Traffic: &model},
+		Backends:   3,
 		// A modest uniform latency on every link delays every request
 		// past the web hedge deadline, so nearly every arrival hedges.
 		Mesh: &mesh.Config{Links: map[int]mesh.LinkConfig{
@@ -148,11 +145,8 @@ func TestVerticalScalingConverges(t *testing.T) {
 	model.Horizon = 6_000_000
 	model.Rate = 0.04 // sustained pressure: twice the default base rate
 	cfg := SoakConfig{
+		SoakConfig:       serve.SoakConfig{Workers: 8, Cores: 1, Seed: 11, Traffic: &model},
 		Backends:         3,
-		Workers:          8,
-		Cores:            1,
-		Seed:             11,
-		Traffic:          &model,
 		VerticalAdaptive: &resilience.AIMDConfig{Start: 1, Max: 32, Interval: 20_000},
 	}
 	rep, err := Soak(context.Background(), cfg)
@@ -189,16 +183,12 @@ func TestVerticalScalingConverges(t *testing.T) {
 func TestBrownoutShedsByPriority(t *testing.T) {
 	model := traffic.BurstScenario(5)
 	cfg := SoakConfig{
-		Backends:  2,
-		Workers:   2, // deliberately undersized: brownout must engage
-		Queue:     2,
-		Cores:     2,
-		Seed:      5,
-		Traffic:   &model,
-		Retries:   2,
-		Brownout:  &BrownoutConfig{},
-		ChaosRate: 0.02,
-		Heal:      1,
+		SoakConfig: serve.SoakConfig{
+			Workers: 2, // deliberately undersized: brownout must engage
+			Queue:   2, Cores: 2, Seed: 5, Traffic: &model, Retries: 2, ChaosRate: 0.02, Heal: 1,
+		},
+		Backends: 2,
+		Brownout: &BrownoutConfig{},
 	}
 	rep, err := Soak(context.Background(), cfg)
 	if err != nil {
@@ -237,7 +227,9 @@ func TestBrownoutShedsByPriority(t *testing.T) {
 }
 
 // TestTrafficModeValidation: the resilience knobs require traffic
-// mode, and traffic mode excludes the kill schedule.
+// mode, traffic mode excludes the kill schedule, and the fleet honours
+// neither the boot model nor the one-backend AIMD admission
+// controller, so setting either is an error, not a silent no-op.
 func TestTrafficModeValidation(t *testing.T) {
 	if _, err := Soak(context.Background(), SoakConfig{Hedge: &HedgeConfig{}}); err == nil {
 		t.Error("hedging without traffic mode must fail")
@@ -246,14 +238,22 @@ func TestTrafficModeValidation(t *testing.T) {
 		t.Error("mesh without traffic mode must fail")
 	}
 	model := traffic.Default(1)
-	if _, err := Soak(context.Background(), SoakConfig{Traffic: &model, Kills: []KillSpec{{At: 5, Backend: -1}}}); err == nil {
+	if _, err := Soak(context.Background(), SoakConfig{SoakConfig: serve.SoakConfig{Traffic: &model}, Kills: []KillSpec{{At: 5, Backend: -1}}}); err == nil {
 		t.Error("traffic mode with a kill schedule must fail")
 	}
 	if _, err := Soak(context.Background(), SoakConfig{
-		Traffic: &model,
-		Mesh:    &mesh.Config{Links: map[int]mesh.LinkConfig{9: {}}},
+		SoakConfig: serve.SoakConfig{Traffic: &model},
+		Mesh:       &mesh.Config{Links: map[int]mesh.LinkConfig{9: {}}},
 	}); err == nil {
 		t.Error("mesh link beyond the fleet must fail")
+	}
+	for name, s := range map[string]serve.SoakConfig{
+		"boot model": {BootModel: "warm"},
+		"adaptive":   {Adaptive: &resilience.AIMDConfig{}},
+	} {
+		if _, err := Soak(context.Background(), SoakConfig{SoakConfig: s}); err == nil {
+			t.Errorf("%s on a fleet must fail", name)
+		}
 	}
 }
 

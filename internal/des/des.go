@@ -178,6 +178,10 @@ type Totals struct {
 	BreakerDenied int `json:"breaker_denied"`
 }
 
+// Terminal counts the requests that reached a terminal state. A run
+// lost no request when it equals Issued.
+func (t Totals) Terminal() int { return t.OK + t.Detected + t.Silent + t.GaveUp }
+
 // Hooks are a configuration's policies. Every hook is optional; a nil
 // hook is the plain one-backend behaviour.
 type Hooks struct {
@@ -201,7 +205,7 @@ type Hooks struct {
 	Routed func(bk int)
 	Shed   func(bk, id int)
 	// Link samples the network path to bk for a new attempt: added
-	// latency, or a drop (the attempt is lost until DropTimeout).
+	// latency, or a drop (the attempt is lost until dropTimeout).
 	Link func(bk int) (latency uint64, drop bool)
 	// Started sees each service start, Launched each primary attempt
 	// that got in flight, Done each winning completion (after the
@@ -222,6 +226,10 @@ type Hooks struct {
 	GaveUp  func(id int, detail string)
 }
 
+// dropTimeout is how long (virtual cycles) the sender waits on a
+// mesh-dropped message before declaring the attempt lost.
+const dropTimeout = 64_000
+
 // Sim is one replay. Build it with New, configure Fleet and Hooks,
 // then Run.
 type Sim struct {
@@ -237,8 +245,7 @@ type Sim struct {
 	// Batch resolves each maximal run of same-instant issues together:
 	// all are routed first, then admitted per backend through Grant —
 	// the seeded arbitration of racing breaker probes.
-	Batch       bool
-	DropTimeout uint64
+	Batch bool
 
 	h        eventHeap
 	seq      int
@@ -470,7 +477,7 @@ func (s *Sim) launch(id, no, bk int, hedged bool) *Attempt {
 		if drop {
 			a.Lost = true
 			s.track(a)
-			s.Push(Event{At: s.Now + s.DropTimeout, Kind: Timeout, ID: id, Tok: a.Tok})
+			s.Push(Event{At: s.Now + dropTimeout, Kind: Timeout, ID: id, Tok: a.Tok})
 			return a
 		}
 		a.LinkLat = lat

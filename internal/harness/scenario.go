@@ -222,8 +222,8 @@ func burstSoak(seed int64) serve.SoakConfig {
 // scenarios share.
 func failoverSoak(seed int64, budget int, kills ...cluster.KillSpec) cluster.SoakConfig {
 	return cluster.SoakConfig{
-		Clients: 6, Requests: 10, Seed: seed, ChaosRate: 0.1, Heal: 1,
-		Kills: kills, FailoverBudget: budget,
+		SoakConfig: serve.SoakConfig{Clients: 6, Requests: 10, Seed: seed, ChaosRate: 0.1, Heal: 1},
+		Kills:      kills, FailoverBudget: budget,
 	}
 }
 
@@ -242,7 +242,7 @@ func soak(ctx context.Context, cfg serve.SoakConfig, eventCap int) (*Result, err
 	}
 	if !rep.Graceful() {
 		res.Verdict.Failf("run not graceful (%d in flight, %d unaccounted)",
-			rep.InFlightAtEnd, rep.Issued-(rep.OK+rep.Detected+rep.Silent+rep.GaveUp))
+			rep.InFlightAtEnd, rep.Issued-rep.Terminal())
 	}
 	return res, nil
 }

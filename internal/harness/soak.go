@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pacstack/internal/des"
 	"pacstack/internal/serve"
 )
 
@@ -23,34 +24,10 @@ func Soak(r *serve.SoakReport) string {
 			r.Seed, r.Workload, strings.Join(r.Schemes, ","), r.Clients, r.PerClient, 100*r.ChaosRate, r.Heal)
 	}
 
-	fmt.Fprintf(&b, "\n%-26s %9s %8s %8s %8s %8s %8s\n",
-		"scheme", "requests", "ok", "healed", "detected", "silent", "gave-up")
-	for _, row := range r.PerScheme {
-		fmt.Fprintf(&b, "%-26s %9d %8d %8d %8d %8d %8d\n",
-			row.Scheme, row.Requests, row.OK, row.Healed, row.Detected, row.Silent, row.GaveUp)
-	}
-	fmt.Fprintf(&b, "%-26s %9d %8d %8d %8d %8d %8d\n",
-		"total", r.Issued, r.OK, r.Healed, r.Detected, r.Silent, r.GaveUp)
-
-	fmt.Fprintf(&b, "\ninjected faults %d | retries %d | sheds %d | breaker denied %d\n",
-		r.Injected, r.Retries, r.Sheds, r.BreakerDenied)
-	if r.Checkpoints > 0 || r.TornCommits > 0 || r.Restores > 0 {
-		fmt.Fprintf(&b, "checkpoints %d | warm restores %d | torn commits %d\n",
-			r.Checkpoints, r.Restores, r.TornCommits)
-	}
-	if len(r.Causes) > 0 {
-		parts := make([]string, 0, len(r.Causes))
-		for _, c := range r.Causes {
-			parts = append(parts, fmt.Sprintf("%s:%d", c.Scheme, c.Count))
-		}
-		fmt.Fprintf(&b, "detections by cause: %s\n", strings.Join(parts, " "))
-	}
+	schemeTable(&b, r.PerScheme, r.Totals)
+	faultLines(&b, r.Totals)
 	if len(r.BreakerOpens) > 0 {
-		parts := make([]string, 0, len(r.BreakerOpens))
-		for _, c := range r.BreakerOpens {
-			parts = append(parts, fmt.Sprintf("%s:%d", c.Scheme, c.Count))
-		}
-		fmt.Fprintf(&b, "breaker opens: %s\n", strings.Join(parts, " "))
+		fmt.Fprintf(&b, "breaker opens: %s\n", counts(r.BreakerOpens))
 	}
 
 	fmt.Fprintf(&b, "virtual cycles %d | in flight at end %d\n", r.VirtualCycles, r.InFlightAtEnd)
@@ -67,8 +44,45 @@ func Soak(r *serve.SoakReport) string {
 			r.OK, r.Detected, r.Silent, r.GaveUp, r.Issued)
 	} else {
 		fmt.Fprintf(&b, "NOT GRACEFUL: ok+detected+silent+gave-up = %d of %d issued, %d in flight\n",
-			r.OK+r.Detected+r.Silent+r.GaveUp, r.Issued, r.InFlightAtEnd)
+			r.Terminal(), r.Issued, r.InFlightAtEnd)
 	}
 	b.WriteString(SLO(r.SLO))
 	return b.String()
+}
+
+// schemeTable writes the per-scheme outcome table with its totals row,
+// as every soak report prints it.
+func schemeTable(b *strings.Builder, rows []des.Row, t des.Totals) {
+	fmt.Fprintf(b, "\n%-26s %9s %8s %8s %8s %8s %8s\n",
+		"scheme", "requests", "ok", "healed", "detected", "silent", "gave-up")
+	for _, row := range rows {
+		fmt.Fprintf(b, "%-26s %9d %8d %8d %8d %8d %8d\n",
+			row.Scheme, row.Requests, row.OK, row.Healed, row.Detected, row.Silent, row.GaveUp)
+	}
+	fmt.Fprintf(b, "%-26s %9d %8d %8d %8d %8d %8d\n",
+		"total", t.Issued, t.OK, t.Healed, t.Detected, t.Silent, t.GaveUp)
+}
+
+// faultLines writes the injected-faults/retries/sheds line, the
+// checkpoint line (when checkpointing ran) and the detections by cause
+// (when any).
+func faultLines(b *strings.Builder, t des.Totals) {
+	fmt.Fprintf(b, "\ninjected faults %d | retries %d | sheds %d | breaker denied %d\n",
+		t.Injected, t.Retries, t.Sheds, t.BreakerDenied)
+	if t.Checkpoints > 0 || t.TornCommits > 0 || t.Restores > 0 {
+		fmt.Fprintf(b, "checkpoints %d | warm restores %d | torn commits %d\n",
+			t.Checkpoints, t.Restores, t.TornCommits)
+	}
+	if len(t.Causes) > 0 {
+		fmt.Fprintf(b, "detections by cause: %s\n", counts(t.Causes))
+	}
+}
+
+// counts renders name:count pairs, space-separated.
+func counts(cs []des.SchemeCount) string {
+	parts := make([]string, 0, len(cs))
+	for _, c := range cs {
+		parts = append(parts, fmt.Sprintf("%s:%d", c.Scheme, c.Count))
+	}
+	return strings.Join(parts, " ")
 }

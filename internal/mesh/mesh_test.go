@@ -48,8 +48,8 @@ func TestOutageIsPureFunctionOfTime(t *testing.T) {
 		{149, CausePartition},
 		{150, CauseFlap}, // healed, but 150%10=0 < 3: flap phase
 		{155, CauseNone},
-		{63, CauseNone},  // 63%10=3, flap over
-		{62, CauseFlap},  // 62%10=2 < 3
+		{63, CauseNone}, // 63%10=3, flap over
+		{62, CauseFlap}, // 62%10=2 < 3
 		{60, CauseFlap},
 	} {
 		if got := outage(l, tc.at); got != tc.want {

@@ -57,8 +57,7 @@ type Config struct {
 	// way: every Reset reseeds.
 	Seed int64
 	// Shards is the free-list shard count; default par.Workers().
-	ShardCap int // free machines kept per shard before overflow; default 4
-	Shards   int
+	Shards int
 	// MaxMachines caps the pool's total machine count; 0 means grow on
 	// demand without bound (Get never fails). When the cap is hit and
 	// every machine is leased, Get returns nil and the caller cold-boots.
@@ -114,6 +113,11 @@ type Pool struct {
 
 	created atomic.Int64
 	hint    atomic.Uint64
+
+	// The counters tel exports, for this pool alone: a registry may be
+	// shared by many pools and many runs, Stats is not.
+	leased                                 atomic.Int64
+	restores, coldFallbacks, keyViolations atomic.Uint64
 }
 
 // New builds the pool: boot one template machine, harden it, and
@@ -125,9 +129,6 @@ func New(cfg Config) (*Pool, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = par.Workers()
-	}
-	if cfg.ShardCap <= 0 {
-		cfg.ShardCap = 4
 	}
 	if cfg.Tel == nil {
 		cfg.Tel = &Telemetry{}
@@ -179,6 +180,13 @@ func (p *Pool) Adopt(bi *snap.BootImage) error {
 // Tel returns the pool's telemetry handle block.
 func (p *Pool) Tel() *Telemetry { return p.tel }
 
+// Stats reads the pool's own counters: restores served, leases refused
+// by a capped pool, restores refused for holding the image keys, and
+// machines leased now.
+func (p *Pool) Stats() (restores, coldFallbacks, keyViolations uint64, leased int64) {
+	return p.restores.Load(), p.coldFallbacks.Load(), p.keyViolations.Load(), p.leased.Load()
+}
+
 // Size reports how many machines the pool has ever created.
 func (p *Pool) Size() int { return int(p.created.Load()) }
 
@@ -188,38 +196,40 @@ func (p *Pool) Size() int { return int(p.created.Load()) }
 // signal, counted in pacstack_pool_cold_fallback_total.
 func (p *Pool) Get() *Machine {
 	h := int(p.hint.Add(1)-1) % len(p.shards)
-	if m := p.shards[h].pop(); m != nil {
-		p.tel.Occupancy.Add(1)
-		return m
+	m := p.shards[h].pop()
+	if m == nil {
+		m = p.overflow.pop()
 	}
-	if m := p.overflow.pop(); m != nil {
-		p.tel.Occupancy.Add(1)
-		return m
+	for i := 1; m == nil && i < len(p.shards); i++ {
+		m = p.shards[(h+i)%len(p.shards)].pop()
 	}
-	for i := 1; i < len(p.shards); i++ {
-		if m := p.shards[(h+i)%len(p.shards)].pop(); m != nil {
-			p.tel.Occupancy.Add(1)
-			return m
+	if m == nil {
+		if p.cfg.MaxMachines > 0 && int(p.created.Add(1)) > p.cfg.MaxMachines {
+			p.created.Add(-1)
+			p.coldFallback()
+			return nil
+		}
+		if p.cfg.MaxMachines == 0 {
+			p.created.Add(1)
+		}
+		var err error
+		if m, err = p.grow(h); err != nil {
+			// A boot that fails here would fail the cold path identically;
+			// report exhaustion and let the caller surface the boot error.
+			p.created.Add(-1)
+			p.coldFallback()
+			return nil
 		}
 	}
-	if p.cfg.MaxMachines > 0 && int(p.created.Add(1)) > p.cfg.MaxMachines {
-		p.created.Add(-1)
-		p.tel.ColdFallback.Inc()
-		return nil
-	}
-	if p.cfg.MaxMachines == 0 {
-		p.created.Add(1)
-	}
-	m, err := p.grow(h)
-	if err != nil {
-		// A boot that fails here would fail the cold path identically;
-		// report exhaustion and let the caller surface the boot error.
-		p.created.Add(-1)
-		p.tel.ColdFallback.Inc()
-		return nil
-	}
+	p.leased.Add(1)
 	p.tel.Occupancy.Add(1)
 	return m
+}
+
+// coldFallback counts one refused lease.
+func (p *Pool) coldFallback() {
+	p.coldFallbacks.Add(1)
+	p.tel.ColdFallback.Inc()
 }
 
 // grow creates one machine: a fresh kernel (unseeded — its entropy
@@ -240,16 +250,21 @@ func (p *Pool) grow(shardIdx int) (*Machine, error) {
 	return &Machine{K: k, Proc: proc, shard: shardIdx}, nil
 }
 
-// Put returns a leased machine: home shard up to ShardCap, overflow
+// shardCap is how many free machines a shard keeps before Put
+// overflows to the global list.
+const shardCap = 4
+
+// Put returns a leased machine: home shard up to shardCap, overflow
 // beyond.
 func (p *Pool) Put(m *Machine) {
 	if m == nil {
 		return
 	}
+	p.leased.Add(-1)
 	p.tel.Occupancy.Add(-1)
 	sh := &p.shards[m.shard]
 	sh.mu.Lock()
-	if len(sh.free) < p.cfg.ShardCap {
+	if len(sh.free) < shardCap {
 		sh.free = append(sh.free, m)
 		sh.mu.Unlock()
 		return
@@ -302,9 +317,11 @@ func (p *Pool) Reset(m *Machine) (*kernel.Process, error) {
 	if p.cfg.Configure != nil {
 		p.cfg.Configure(m.Proc)
 	}
+	p.restores.Add(1)
 	p.tel.Restores.Inc()
 
 	if m.Proc.HoldsKeys(bi.Keys()) {
+		p.keyViolations.Add(1)
 		p.tel.KeyViolations.Inc()
 		return nil, fmt.Errorf("pool: warm restore shares keys with the boot image (§4.3 violation)")
 	}

@@ -26,9 +26,9 @@ import "sync"
 type RetryBudget struct {
 	cfg RetryBudgetConfig
 
-	mu     sync.Mutex
-	micro  int // bucket level in 1/Den tokens
-	stats  RetryBudgetStats
+	mu    sync.Mutex
+	micro int // bucket level in 1/Den tokens
+	stats RetryBudgetStats
 }
 
 // RetryBudgetConfig parameterises a RetryBudget. The zero value of a

@@ -170,45 +170,6 @@ func TestProtectIsolatesPanics(t *testing.T) {
 	}
 }
 
-func TestRetryStopsOnPermanentError(t *testing.T) {
-	permanent := errors.New("bad request")
-	calls := 0
-	attempts, err := RetryPolicy{
-		Max:       5,
-		Retryable: func(err error) bool { return !errors.Is(err, permanent) },
-		Sleep:     func(context.Context, uint64) error { return nil },
-	}.Do(context.Background(), func(int) error { calls++; return permanent })
-	if !errors.Is(err, permanent) || attempts != 1 || calls != 1 {
-		t.Fatalf("attempts=%d calls=%d err=%v, want 1/1/permanent", attempts, calls, err)
-	}
-}
-
-func TestRetryEventuallySucceeds(t *testing.T) {
-	failures := 3
-	attempts, err := RetryPolicy{
-		Max:     5,
-		Backoff: NewBackoff(1, 4, 7),
-		Sleep:   func(context.Context, uint64) error { return nil },
-	}.Do(context.Background(), func(n int) error {
-		if n < failures {
-			return ErrShed
-		}
-		return nil
-	})
-	if err != nil || attempts != failures+1 {
-		t.Fatalf("attempts=%d err=%v, want %d/nil", attempts, err, failures+1)
-	}
-}
-
-func TestRetryHonoursContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	attempts, err := RetryPolicy{Max: 5, Sleep: wallSleep}.Do(ctx, func(int) error { return ErrShed })
-	if !errors.Is(err, context.Canceled) || attempts != 1 {
-		t.Fatalf("attempts=%d err=%v, want 1/context.Canceled", attempts, err)
-	}
-}
-
 func TestAdmissionSetLimitGrowWakesWaiters(t *testing.T) {
 	a := NewAdmission(1, 4)
 	if err := a.Acquire(context.Background()); err != nil {

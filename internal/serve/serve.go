@@ -749,11 +749,17 @@ func (s *Server) AdoptBootImage(workloadName, schemeStr string, raw []byte) erro
 	return pl.Adopt(bi)
 }
 
-// PoolStats reads the warm-pool counters from the registry: restores
-// served, cold fallbacks, key violations, and current occupancy.
+// PoolStats sums this server's warm-pool counters (pool.Pool.Stats):
+// restores served, cold fallbacks, key violations, and current
+// occupancy. Other servers sharing its registry do not count.
 func (s *Server) PoolStats() (restores, coldFallbacks, keyViolations uint64, occupancy int64) {
-	return s.m.pool.Restores.Value(), s.m.pool.ColdFallback.Value(),
-		s.m.pool.KeyViolations.Value(), s.m.pool.Occupancy.Value()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, pl := range s.pools {
+		r, f, k, o := pl.Stats()
+		restores, coldFallbacks, keyViolations, occupancy = restores+r, coldFallbacks+f, keyViolations+k, occupancy+o
+	}
+	return restores, coldFallbacks, keyViolations, occupancy
 }
 
 // DoBatch executes a batch of requests across the internal/par worker

@@ -86,12 +86,15 @@ type SoakConfig struct {
 	Overhead uint64
 
 	// Telemetry, when non-nil, receives the soak's metrics and events,
-	// stamped with virtual time (the Set's clocks are retargeted for
-	// the duration of the run). The dump after a seeded soak is
-	// byte-identical across runs and worker-pool widths: counters are
-	// bumped from the parallel precompute phase (integer adds commute),
-	// while every event is recorded from the serial virtual-time
-	// replay. The gate's double-run cmp rests on this.
+	// stamped with virtual time: the Set's clocks are retargeted to the
+	// run's virtual clock and left there, so a dump taken after the run
+	// is stamped with its final virtual time. The dump after a seeded
+	// soak is byte-identical across runs and worker-pool widths:
+	// counters are bumped from the parallel precompute phase (integer
+	// adds commute), while every event is recorded from the serial
+	// virtual-time replay. The report never reads the Set back (its
+	// quantiles and pool counters are the run's own), so a Set reused
+	// across runs changes no report.
 	Telemetry *telemetry.Set
 
 	// Traffic switches the soak into open-loop mode: instead of
@@ -232,13 +235,6 @@ func bootCost(srv *Server, model, workload, scheme string) (uint64, error) {
 	return warm, nil
 }
 
-// SchemeCount and SoakRow are the shared replay's name-keyed counter
-// and per-scheme row.
-type (
-	SchemeCount = des.SchemeCount
-	SoakRow     = des.Row
-)
-
 // SoakReport is the deterministic end-of-run summary. For one seed and
 // knob set it is byte-identical across runs and machines.
 type SoakReport struct {
@@ -251,9 +247,9 @@ type SoakReport struct {
 	Heal      int      `json:"heal"`
 
 	des.Totals
-	BreakerOpens []SchemeCount `json:"breaker_opens,omitempty"`
+	BreakerOpens []des.SchemeCount `json:"breaker_opens,omitempty"`
 
-	PerScheme []SoakRow `json:"per_scheme"`
+	PerScheme []des.Row `json:"per_scheme"`
 
 	VirtualCycles uint64 `json:"virtual_cycles"`
 	InFlightAtEnd int    `json:"in_flight_at_end"`
@@ -266,12 +262,7 @@ type SoakReport struct {
 	BootModel string `json:"boot_model,omitempty"`
 	RPVSMilli uint64 `json:"rpvs_milli"`
 
-	// Warm-model pool traffic, read from the pool counters after the
-	// precompute phase: restores served, leases refused by a capped
-	// pool, and §4.3 image-key violations (must be zero).
-	PoolRestores      uint64 `json:"pool_restores,omitempty"`
-	PoolColdFallbacks uint64 `json:"pool_cold_fallbacks,omitempty"`
-	PoolKeyViolations uint64 `json:"pool_key_violations,omitempty"`
+	PoolCounts
 
 	// Traffic marks an open-loop run; SLO is its per-class evaluation
 	// (nil for closed-loop runs).
@@ -279,12 +270,20 @@ type SoakReport struct {
 	SLO     *traffic.SLOReport `json:"slo,omitempty"`
 }
 
+// PoolCounts is a warm-model soak's pool traffic, summed over the pools
+// of its own inner servers: restores served, leases refused by a
+// capped pool, and §4.3 image-key violations (must be zero).
+type PoolCounts struct {
+	PoolRestores      uint64 `json:"pool_restores,omitempty"`
+	PoolColdFallbacks uint64 `json:"pool_cold_fallbacks,omitempty"`
+	PoolKeyViolations uint64 `json:"pool_key_violations,omitempty"`
+}
+
 // Graceful reports whether the run ended cleanly: every issued request
-// reached a terminal state and nothing was left in flight. The
-// accounting identity OK+Detected+Silent+GaveUp == Issued is the "no
-// request lost" check.
+// reached a terminal state (Terminal == Issued, the "no request lost"
+// check) and nothing was left in flight.
 func (r *SoakReport) Graceful() bool {
-	return r.InFlightAtEnd == 0 && r.OK+r.Detected+r.Silent+r.GaveUp == r.Issued
+	return r.InFlightAtEnd == 0 && r.Terminal() == r.Issued
 }
 
 // validateModel checks that every class of a traffic model names a
@@ -317,29 +316,30 @@ func validateModel(m *traffic.Model) error {
 // so every event is recorded from the serial replay. Poison arrivals
 // run on a twin whose every attempt arms an injection, which makes
 // them guaranteed hostile without touching regular traffic's seeds.
-// It also returns the regular inner server (pool statistics).
-func SoakSim(ctx context.Context, cfg SoakConfig, n int) (*des.Sim, *Server, error) {
+// It also returns the inner servers' warm-pool traffic.
+func SoakSim(ctx context.Context, cfg SoakConfig, n int) (*des.Sim, PoolCounts, error) {
+	var pc PoolCounts
 	if err := validBootModel(cfg.BootModel); err != nil {
-		return nil, nil, err
+		return nil, pc, err
 	}
 	reg := cfg.Telemetry.Registry()
 	var src *des.Source
 	if cfg.Traffic != nil {
 		arrivals, err := cfg.Traffic.Generate()
 		if err != nil {
-			return nil, nil, err
+			return nil, pc, err
 		}
 		if len(arrivals) == 0 {
-			return nil, nil, fmt.Errorf("soak: traffic model generated no arrivals")
+			return nil, pc, fmt.Errorf("soak: traffic model generated no arrivals")
 		}
 		if err := validateModel(cfg.Traffic); err != nil {
-			return nil, nil, err
+			return nil, pc, err
 		}
 		src = des.OpenLoop(cfg.Seed, arrivals, traffic.NewEvaluator(cfg.Traffic.Classes, reg), cfg.BackoffBase, cfg.BackoffCap)
 	} else {
 		for _, name := range cfg.Schemes {
 			if _, err := ParseScheme(name); err != nil {
-				return nil, nil, err
+				return nil, pc, err
 			}
 		}
 		src = des.ClosedLoop(cfg.Seed, cfg.Clients, cfg.Requests, cfg.Workload, cfg.Schemes, cfg.Think, cfg.BackoffBase, cfg.BackoffCap)
@@ -356,12 +356,6 @@ func SoakSim(ctx context.Context, cfg SoakConfig, n int) (*des.Sim, *Server, err
 		sim.Log.SetClock(sim.Clock)
 	}
 
-	if reg == nil && cfg.BootModel == "warm" {
-		// The report's pool counters come from the inner servers'
-		// registry; give them a private one when the caller brought no
-		// telemetry sink.
-		reg = telemetry.NewRegistry()
-	}
 	inner := Config{
 		Workers:          len(src.Reqs) + 1, // never shed in the precompute phase
 		Queue:            len(src.Reqs),
@@ -391,13 +385,13 @@ func SoakSim(ctx context.Context, cfg SoakConfig, n int) (*des.Sim, *Server, err
 			s = psrv
 		}
 		if _, err := s.engine(r.Workload); err != nil {
-			return nil, nil, err
+			return nil, pc, err
 		}
 		key := r.Workload + "/" + r.Scheme
 		if _, ok := boot[key]; !ok {
 			c, err := bootCost(srv, cfg.BootModel, r.Workload, r.Scheme)
 			if err != nil {
-				return nil, nil, err
+				return nil, pc, err
 			}
 			boot[key] = c
 		}
@@ -427,10 +421,14 @@ func SoakSim(ctx context.Context, cfg SoakConfig, n int) (*des.Sim, *Server, err
 		return o, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, pc, err
 	}
 	sim.Out = out
-	return sim, srv, nil
+	for _, s := range []*Server{srv, psrv} {
+		r, f, k, _ := s.PoolStats()
+		pc.PoolRestores, pc.PoolColdFallbacks, pc.PoolKeyViolations = pc.PoolRestores+r, pc.PoolColdFallbacks+f, pc.PoolKeyViolations+k
+	}
+	return sim, pc, nil
 }
 
 // Soak runs the one-backend simulation: per-scheme breakers in front
@@ -439,7 +437,7 @@ func SoakSim(ctx context.Context, cfg SoakConfig, n int) (*des.Sim, *Server, err
 // precompute; the serial replay is fast and not cancellable.
 func Soak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	cfg = cfg.WithDefaults()
-	sim, srv, err := SoakSim(ctx, cfg, 1)
+	sim, pools, err := SoakSim(ctx, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -542,17 +540,15 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 		Totals: sim.Totals, PerScheme: sim.Rows(),
 		VirtualCycles: sim.Now, InFlightAtEnd: sim.InFlight(),
 		BootModel: cfg.BootModel, RPVSMilli: rpvsMilli(sim.Totals.OK, sim.Now),
+		PoolCounts: pools,
 	}
 	if open {
 		rep.Workload, rep.Schemes, rep.Clients, rep.PerClient, rep.Traffic = "traffic", schemes, 0, 0, true
 	}
 	for _, name := range schemes {
 		if br := breakers[name]; br != nil && br.Opens() > 0 {
-			rep.BreakerOpens = append(rep.BreakerOpens, SchemeCount{Scheme: name, Count: br.Opens()})
+			rep.BreakerOpens = append(rep.BreakerOpens, des.SchemeCount{Scheme: name, Count: br.Opens()})
 		}
-	}
-	if cfg.BootModel == "warm" {
-		rep.PoolRestores, rep.PoolColdFallbacks, rep.PoolKeyViolations, _ = srv.PoolStats()
 	}
 	if open {
 		rep.SLO = sim.Src.Eval.Report()

@@ -20,8 +20,9 @@
 //     values — so a snapshot of a seeded run is byte-identical
 //     regardless of goroutine interleaving or worker-pool width. All
 //     timestamps come from an injected clock (virtual cycles in the
-//     soak and crash matrix, wall nanoseconds in the daemon), so the
-//     repository gate can `cmp` two telemetry dumps of the same seed.
+//     soak and crash matrix, wall nanoseconds in the daemon), so two
+//     telemetry dumps of one seed are byte-identical — TestGolden pins
+//     the soak dumps to committed files.
 //
 // Naming scheme: pacstack_<component>_<noun>[_<unit>]_total for
 // counters, pacstack_<component>_<noun> for gauges and histograms.
@@ -127,6 +128,18 @@ type Histogram struct {
 	counts []Counter
 	sum    Counter
 	count  Counter
+}
+
+// NewHistogram returns a histogram no registry holds: a tally
+// private to its owner, which no other run sharing a registry can
+// add to.
+func NewHistogram(bounds []uint64) *Histogram {
+	checkBounds("unregistered", bounds)
+	return newHistogram(bounds)
+}
+
+func newHistogram(bounds []uint64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]Counter, len(bounds)+1)}
 }
 
 // Observe records one value. A nil receiver is a no-op.
@@ -347,10 +360,7 @@ func (f *family) with(values []string) *series {
 	case kindGauge:
 		s.gauge = &Gauge{}
 	case kindHistogram:
-		s.hist = &Histogram{
-			bounds: f.bounds,
-			counts: make([]Counter, len(f.bounds)+1),
-		}
+		s.hist = newHistogram(f.bounds)
 	}
 	f.series[key] = s
 	return s

@@ -51,28 +51,25 @@ var LatencyBounds = func() []uint64 {
 }()
 
 // Evaluator accumulates per-class traffic telemetry during the serial
-// DES replay and renders it into an SLOReport. Latency quantiles come
-// from telemetry histograms (per-class series of
-// pacstack_traffic_latency_cycles in the run's registry), so the SLO
-// report and the telemetry dump can never disagree; the flat counters
-// are mirrored into plain ints for cheap report assembly.
+// DES replay and renders it into an SLOReport. Every latency lands in
+// two histograms of one bucket layout: a private one the report's
+// quantiles come from, so a registry that already holds another run's
+// samples cannot move them, and the per-class series of
+// pacstack_traffic_latency_cycles in the run's registry (if any).
 type Evaluator struct {
-	classes []Class
-	lat     []*telemetry.Histogram
+	classes  []Class
+	lat, reg []*telemetry.Histogram
 
 	arrivals, ok, detected, silent, gaveup, sheds, retries, browned []int
 }
 
-// NewEvaluator wires per-class instruments into reg (a private
-// registry when reg is nil, so evaluation always works).
+// NewEvaluator wires per-class instruments into reg (nil: none).
 func NewEvaluator(classes []Class, reg *telemetry.Registry) *Evaluator {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	n := len(classes)
 	e := &Evaluator{
 		classes:  classes,
 		lat:      make([]*telemetry.Histogram, n),
+		reg:      make([]*telemetry.Histogram, n),
 		arrivals: make([]int, n), ok: make([]int, n),
 		detected: make([]int, n), silent: make([]int, n),
 		gaveup: make([]int, n), sheds: make([]int, n), retries: make([]int, n),
@@ -81,7 +78,8 @@ func NewEvaluator(classes []Class, reg *telemetry.Registry) *Evaluator {
 	latVec := reg.HistogramVec("pacstack_traffic_latency_cycles",
 		"virtual latency (first issue to terminal state) by class", LatencyBounds, "class")
 	for i, c := range classes {
-		e.lat[i] = latVec.With(c.Name)
+		e.lat[i] = telemetry.NewHistogram(LatencyBounds)
+		e.reg[i] = latVec.With(c.Name)
 	}
 	return e
 }
@@ -112,6 +110,7 @@ func (e *Evaluator) Brownout(class int) { e.browned[class]++ }
 // to terminal, retries and backoff included).
 func (e *Evaluator) Done(class int, latency uint64, o Outcome) {
 	e.lat[class].Observe(latency)
+	e.reg[class].Observe(latency)
 	switch o {
 	case OutcomeOK:
 		e.ok[class]++
